@@ -227,8 +227,18 @@ const (
 // domainShake is the FIPS 202 domain-separation suffix for SHAKE (1111).
 const domainShake = 0x1F
 
+// CacheLine is the cache-line size the sponge and the samplers built on
+// it are padded to.
+const CacheLine = 64
+
 // Shake is an incremental SHAKE sponge. Create with NewShake128 or
 // NewShake256, Write the input, then Read any amount of output.
+//
+// Its size is a whole number of cache lines, so the allocator places each
+// heap-allocated Shake on lines of its own. Pooled keystream workers each
+// squeeze their own sponge on different cores; two sponges sharing a line
+// would make every squeezed word a cross-core miss, and the cost of a run
+// would depend on where the allocator happened to put the workers' sponges.
 type Shake struct {
 	state     State
 	rate      int // bytes
@@ -236,6 +246,7 @@ type Shake struct {
 	bufLen    int // bytes buffered for absorb / available for squeeze
 	squeezing bool
 	readPos   int
+	_         [48]byte // pads the 400 bytes above to 7 cache lines
 }
 
 // NewShake128 returns a SHAKE128 instance.

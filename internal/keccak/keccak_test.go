@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // FIPS 202 known-answer vectors.
@@ -182,5 +183,25 @@ func TestSHA3DiffersFromShake(t *testing.T) {
 	b := Sum128([]byte("x"), 32)
 	if bytes.Equal(a[:], b) {
 		t.Fatal("SHA3 and SHAKE collided; domain separation broken")
+	}
+}
+
+// shakes keeps the sponges TestShakeOwnsCacheLines allocates reachable,
+// so they are heap-allocated as in the pooled samplers rather than placed
+// on the test's stack.
+var shakes []*Shake
+
+// TestShakeOwnsCacheLines pins the padding of Shake: its size is a whole
+// number of cache lines, so every heap-allocated sponge starts on a line
+// boundary and no two sponges share a line.
+func TestShakeOwnsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Shake{}); n%CacheLine != 0 {
+		t.Fatalf("sizeof(Shake) = %d, not a multiple of %d", n, CacheLine)
+	}
+	for i := 0; i < 16; i++ {
+		shakes = append(shakes, NewShake128())
+		if addr := uintptr(unsafe.Pointer(shakes[i])); addr%CacheLine != 0 {
+			t.Fatalf("Shake %d at %#x is not cache-line aligned", i, addr)
+		}
 	}
 }

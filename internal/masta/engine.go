@@ -6,13 +6,14 @@ import (
 	"fmt"
 
 	"repro/internal/ff"
+	"repro/internal/pasta"
 	"repro/internal/xof"
 )
 
 // The allocation-free keystream engine, following the pooled-workspace
 // pattern of internal/pasta: every buffer one block needs — state,
-// the per-layer seed and round-constant vectors, the ping-pong matrix
-// row registers, and a reseedable sampler — lives in one pooled
+// the per-layer seed and round-constant vectors, the shared PASTA
+// kernel's row registers, and a reseedable sampler — lives in one pooled
 // workspace, so the steady state touches the heap zero times per block.
 
 // workspace bundles the per-block scratch.
@@ -21,8 +22,8 @@ type workspace struct {
 	seed    ff.Vec // matrix seed row for the current affine layer
 	rc      ff.Vec // round constants for the current affine layer
 	out     ff.Vec // affine output accumulator
-	rowA    ff.Vec // matrix row register (ping)
-	rowB    ff.Vec // matrix row register (pong)
+	rowA    ff.Vec // kernel row registers
+	rowB    ff.Vec
 	sampler *xof.Sampler
 }
 
@@ -49,46 +50,6 @@ func (c *Cipher) getWorkspace() *workspace {
 
 func (c *Cipher) putWorkspace(ws *workspace) { c.pool.Put(ws) }
 
-// nextRowInto advances the sequential invertible-matrix recurrence
-// into next (which must not alias row):
-//
-//	next[0] = row[t-1]·seed[0]
-//	next[j] = row[j-1] + row[t-1]·seed[j]   (j ≥ 1)
-func nextRowInto(m ff.Modulus, seed, row, next ff.Vec) {
-	t := len(row)
-	last := row[t-1]
-	next[0] = m.Mul(last, seed[0])
-	for j := 1; j < t; j++ {
-		next[j] = m.MulAdd(last, seed[j], row[j-1])
-	}
-}
-
-// applyAffine computes state ← M(seed)·state + rc in place, streaming
-// matrix rows through the two row registers and accumulating each
-// row's products with 192-bit lazy reduction (one reduce per output
-// element).
-func (c *Cipher) applyAffine(ws *workspace) {
-	m := c.par.Mod
-	state, out := ws.state, ws.out
-	row, next := ws.rowA, ws.rowB
-	copy(row, ws.seed)
-	out[0] = m.Add(ff.DotLazy(m, row, state), ws.rc[0])
-	for i := 1; i < c.par.T; i++ {
-		nextRowInto(m, ws.seed, row, next)
-		row, next = next, row
-		out[i] = m.Add(ff.DotLazy(m, row, state), ws.rc[i])
-	}
-	copy(state, out)
-}
-
-// sboxCube cubes every state element.
-func (c *Cipher) sboxCube(ws *workspace) {
-	m := c.par.Mod
-	for i, v := range ws.state {
-		ws.state[i] = m.Cube(v)
-	}
-}
-
 // KeyStreamInto writes KS(nonce, block) into dst, which must have
 // exactly t elements. Allocation-free in steady state.
 func (c *Cipher) KeyStreamInto(dst ff.Vec, nonce, block uint64) error {
@@ -98,15 +59,18 @@ func (c *Cipher) KeyStreamInto(dst ff.Vec, nonce, block uint64) error {
 	ws := c.getWorkspace()
 	ws.sampler.Reseed(nonce, block)
 	copy(ws.state, c.key)
+	m := c.par.Mod
+	k := pasta.NewKernel(m, c.par.T)
 	for layer := 0; layer < c.par.AffineLayers(); layer++ {
 		ws.sampler.VectorInto(ws.seed, true)
 		ws.sampler.VectorInto(ws.rc, false)
-		c.applyAffine(ws)
+		// state ← M(seed)·state + rc on the shared PASTA kernel.
+		k.MatVec(ws.out, ws.seed, ws.state, ws.rowA, ws.rowB)
+		ff.AddVec(m, ws.state, ws.out, ws.rc)
 		if layer < c.par.Rounds {
-			c.sboxCube(ws)
+			k.SboxCube(ws.state)
 		}
 	}
-	m := c.par.Mod
 	for i, v := range ws.state {
 		dst[i] = m.Add(v, c.key[i])
 	}

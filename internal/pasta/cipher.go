@@ -257,32 +257,3 @@ func ExpandMatrix(m ff.Modulus, seed ff.Vec) *ff.Matrix {
 	}
 	return mat
 }
-
-// Mix replaces the state halves (L, R) by (2L + R, L + 2R) in place —
-// computed, as in the hardware, with three vector additions:
-// s = L + R, L' = L + s, R' = R + s.
-func Mix(m ff.Modulus, state ff.Vec) {
-	t := len(state) / 2
-	l, r := state[:t], state[t:]
-	for i := 0; i < t; i++ {
-		s := m.Add(l[i], r[i])
-		l[i] = m.Add(l[i], s)
-		r[i] = m.Add(r[i], s)
-	}
-}
-
-// SboxFeistel applies the Feistel S-box S′ to the full 2t state in place:
-// x[j] ← x[j] + x[j-1]² for j ≥ 1 (x[0] unchanged), processed from the
-// top index downward so each square uses the pre-update neighbour.
-func SboxFeistel(m ff.Modulus, state ff.Vec) {
-	for j := len(state) - 1; j >= 1; j-- {
-		state[j] = m.Add(state[j], m.Sqr(state[j-1]))
-	}
-}
-
-// SboxCube applies the cube S-box x ← x³ elementwise in place.
-func SboxCube(m ff.Modulus, state ff.Vec) {
-	for j := range state {
-		state[j] = m.Cube(state[j])
-	}
-}

@@ -16,9 +16,8 @@ import (
 //   - Inside one permutation, every affine layer is a matrix–vector
 //     product whose rows the hardware streams through a multiplier bank
 //     and adder tree, reducing the wide sum once per row (Sec. III-C).
-//     ApplyAffineInto mirrors that with ff.DotLazy and caller-provided
-//     scratch, so the steady-state permutation performs zero heap
-//     allocations.
+//     The kernel in kernel.go mirrors that with caller-provided scratch,
+//     so the steady-state permutation performs zero heap allocations.
 //
 //   - Across blocks, the keystream is CTR-style: block b depends only on
 //     (key, nonce, b). Blocks are embarrassingly parallel, so bulk
@@ -26,7 +25,7 @@ import (
 //     parallelism a farm of accelerator instances would exploit.
 
 // AffineScratch holds the three t-element buffers ApplyAffineInto needs:
-// the output accumulator and the two ping-pong matrix-row registers (the
+// the output accumulator and the kernel's two row registers (the
 // hardware keeps only the seed row and the current row — the memory
 // frugality of Sec. III-C).
 type AffineScratch struct {
@@ -41,7 +40,10 @@ func NewAffineScratch(t int) *AffineScratch {
 }
 
 // NextMatrixRowInto advances the sequential invertible-matrix recurrence
-// of eq. (1) into next, which must not alias row:
+// of eq. (1) into next, which must not alias row. Its output is fully
+// reduced: it is the canonical form that ExpandMatrix, the homomorphic
+// evaluator and the per-cycle accelerator model build on (the keystream
+// engine runs the lazily reduced kernel instead):
 //
 //	next[0] = row[t-1]·seed[0]
 //	next[j] = row[j-1] + row[t-1]·seed[j]   (j ≥ 1)
@@ -52,23 +54,6 @@ func NextMatrixRowInto(m ff.Modulus, seed, row, next ff.Vec) {
 	for j := 1; j < t; j++ {
 		next[j] = m.MulAdd(last, seed[j], row[j-1])
 	}
-}
-
-// ApplyAffineInto computes half ← M(seed)·half + rc in place using the
-// caller's scratch and lazy-reduction dot products: each output element
-// accumulates its row's 128-bit products wide and reduces once, the
-// software image of the adder-tree-then-reduce hardware schedule.
-func ApplyAffineInto(m ff.Modulus, half, seed, rc ff.Vec, sc *AffineScratch) {
-	t := len(half)
-	out, row, next := sc.Out[:t], sc.RowA[:t], sc.RowB[:t]
-	copy(row, seed)
-	out[0] = m.Add(ff.DotLazy(m, row, half), rc[0])
-	for i := 1; i < t; i++ {
-		NextMatrixRowInto(m, seed, row, next)
-		row, next = next, row
-		out[i] = m.Add(ff.DotLazy(m, row, half), rc[i])
-	}
-	copy(half, out)
 }
 
 // workspace bundles every buffer one keystream block needs — permutation
@@ -93,7 +78,7 @@ func newWorkspace(par Params) *workspace {
 		seedR:   ff.NewVec(t),
 		rcL:     ff.NewVec(t),
 		rcR:     ff.NewVec(t),
-		sc:      AffineScratch{Out: ff.NewVec(t), RowA: ff.NewVec(t), RowB: ff.NewVec(t)},
+		sc:      *NewAffineScratch(t),
 		sampler: xof.NewSampler(par.Mod, 0, 0),
 	}
 }
@@ -119,19 +104,23 @@ func (c *Cipher) permuteInto(s *xof.Sampler, ws *workspace) {
 	copy(ws.state, c.key)
 	mod := c.par.Mod
 	t := c.par.T
+	k := NewKernel(mod, t)
+	sc := &ws.sc
 	for layer := 0; layer < c.par.AffineLayers(); layer++ {
 		s.VectorInto(ws.seedL, true)
 		s.VectorInto(ws.seedR, true)
 		s.VectorInto(ws.rcL, false)
 		s.VectorInto(ws.rcR, false)
-		ApplyAffineInto(mod, ws.state[:t], ws.seedL, ws.rcL, &ws.sc)
-		ApplyAffineInto(mod, ws.state[t:], ws.seedR, ws.rcR, &ws.sc)
+		k.MatVec(sc.Out, ws.seedL, ws.state[:t], sc.RowA, sc.RowB)
+		ff.AddVec(mod, ws.state[:t], sc.Out, ws.rcL)
+		k.MatVec(sc.Out, ws.seedR, ws.state[t:], sc.RowA, sc.RowB)
+		ff.AddVec(mod, ws.state[t:], sc.Out, ws.rcR)
 		Mix(mod, ws.state)
 		switch {
 		case layer < c.par.Rounds-1:
-			SboxFeistel(mod, ws.state)
+			k.SboxFeistel(ws.state)
 		case layer == c.par.Rounds-1:
-			SboxCube(mod, ws.state)
+			k.SboxCube(ws.state)
 		}
 	}
 }

@@ -184,42 +184,46 @@ func TestSameKeyNonceDifferentCiphers(t *testing.T) {
 // with no goroutine left behind by the failed opens.
 func TestUnknownCipherNegotiation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	_, addr := startServer(t, Config{})
-	c := dialClient(t, addr)
+	// The server runs in a subtest so that its Cleanup has shut it down
+	// before the goroutine count is compared with the baseline.
+	t.Run("negotiate", func(t *testing.T) {
+		_, addr := startServer(t, Config{})
+		c := dialClient(t, addr)
 
-	key := testKey(8, 14, ff.P17.P())
-	open := toyOpen(4, append([]uint64(nil), key...), 600)
-	open.Scheme = "rasta"
-	_, err := c.OpenSession(open)
-	if err == nil {
-		t.Fatal("OpenSession accepted an unregistered cipher")
-	}
-	if !errors.Is(err, ErrUnknownCipher) {
-		t.Fatalf("unknown cipher: got %v, want ErrUnknownCipher", err)
-	}
-	var re *RemoteError
-	if !errors.As(err, &re) {
-		t.Fatalf("unknown cipher did not surface a RemoteError: %v", err)
-	}
-	if re.Code != wire.CodeUnknownCipher {
-		t.Fatalf("wire code %d (%s), want %d (unknown-cipher)", re.Code, wire.CodeString(re.Code), wire.CodeUnknownCipher)
-	}
-	if re.RetryAfter != 0 {
-		t.Fatalf("unknown cipher carried Retry-After %v; the rejection is permanent", re.RetryAfter)
-	}
-	for _, cn := range cipher.Names() {
-		if !strings.Contains(re.Msg, cn) {
-			t.Fatalf("rejection %q does not list registered cipher %q", re.Msg, cn)
+		key := testKey(8, 14, ff.P17.P())
+		open := toyOpen(4, append([]uint64(nil), key...), 600)
+		open.Scheme = "rasta"
+		_, err := c.OpenSession(open)
+		if err == nil {
+			t.Fatal("OpenSession accepted an unregistered cipher")
 		}
-	}
+		if !errors.Is(err, ErrUnknownCipher) {
+			t.Fatalf("unknown cipher: got %v, want ErrUnknownCipher", err)
+		}
+		var re *RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("unknown cipher did not surface a RemoteError: %v", err)
+		}
+		if re.Code != wire.CodeUnknownCipher {
+			t.Fatalf("wire code %d (%s), want %d (unknown-cipher)", re.Code, wire.CodeString(re.Code), wire.CodeUnknownCipher)
+		}
+		if re.RetryAfter != 0 {
+			t.Fatalf("unknown cipher carried Retry-After %v; the rejection is permanent", re.RetryAfter)
+		}
+		for _, cn := range cipher.Names() {
+			if !strings.Contains(re.Msg, cn) {
+				t.Fatalf("rejection %q does not list registered cipher %q", re.Msg, cn)
+			}
+		}
 
-	// Same connection, supported cipher: negotiation proceeds.
-	sess, err := c.OpenSession(toyOpen(4, append([]uint64(nil), key...), 601))
-	if err != nil {
-		t.Fatalf("open after rejected cipher: %v", err)
-	}
-	sess.Close()
-	c.Close()
+		// Same connection, supported cipher: negotiation proceeds.
+		sess, err := c.OpenSession(toyOpen(4, append([]uint64(nil), key...), 601))
+		if err != nil {
+			t.Fatalf("open after rejected cipher: %v", err)
+		}
+		sess.Close()
+		c.Close()
+	})
 
 	waitFor(t, 5*time.Second, "goroutines to drain after rejected opens", func() bool {
 		runtime.GC()
@@ -233,32 +237,35 @@ func TestUnknownCipherNegotiation(t *testing.T) {
 // the connection stays usable for ciphers the substrate does support.
 func TestSoftwareOnlyCipherOnSoCBackend(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	_, addr := startServer(t, Config{Backend: backend.NameSoC})
-	c := dialClient(t, addr)
+	// Subtest for the same reason as in TestUnknownCipherNegotiation.
+	t.Run("soc", func(t *testing.T) {
+		_, addr := startServer(t, Config{Backend: backend.NameSoC})
+		c := dialClient(t, addr)
 
-	open, _, _ := openFor(t, "masta", "soc-tenant", 700)
-	_, err := c.OpenSession(open)
-	if err == nil {
-		t.Fatal("soc server accepted the software-only masta cipher")
-	}
-	if !errors.Is(err, ErrUnknownCipher) {
-		t.Fatalf("unsupported cipher on soc: got %v, want ErrUnknownCipher", err)
-	}
-	var re *RemoteError
-	if !errors.As(err, &re) || re.Code != wire.CodeUnknownCipher {
-		t.Fatalf("unsupported cipher did not map to the unknown-cipher code: %v", err)
-	}
-	if re.RetryAfter != 0 {
-		t.Fatalf("unsupported cipher carried Retry-After %v, want none", re.RetryAfter)
-	}
+		open, _, _ := openFor(t, "masta", "soc-tenant", 700)
+		_, err := c.OpenSession(open)
+		if err == nil {
+			t.Fatal("soc server accepted the software-only masta cipher")
+		}
+		if !errors.Is(err, ErrUnknownCipher) {
+			t.Fatalf("unsupported cipher on soc: got %v, want ErrUnknownCipher", err)
+		}
+		var re *RemoteError
+		if !errors.As(err, &re) || re.Code != wire.CodeUnknownCipher {
+			t.Fatalf("unsupported cipher did not map to the unknown-cipher code: %v", err)
+		}
+		if re.RetryAfter != 0 {
+			t.Fatalf("unsupported cipher carried Retry-After %v, want none", re.RetryAfter)
+		}
 
-	// PASTA runs on the SoC; the connection is still good.
-	sess, err := c.OpenSession(pasta4Open(testKey(64, 31, ff.P17.P()), 701))
-	if err != nil {
-		t.Fatalf("pasta open on soc after masta rejection: %v", err)
-	}
-	sess.Close()
-	c.Close()
+		// PASTA runs on the SoC; the connection is still good.
+		sess, err := c.OpenSession(pasta4Open(testKey(64, 31, ff.P17.P()), 701))
+		if err != nil {
+			t.Fatalf("pasta open on soc after masta rejection: %v", err)
+		}
+		sess.Close()
+		c.Close()
+	})
 
 	waitFor(t, 5*time.Second, "goroutines to drain after unsupported-cipher opens", func() bool {
 		runtime.GC()

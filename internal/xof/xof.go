@@ -38,6 +38,11 @@ type Sampler struct {
 	// Statistics (exported for cycle-audit validation).
 	WordsDrawn int // total 64-bit words squeezed
 	Rejected   int // words discarded by rejection (incl. zero-rejects)
+
+	// The statistics are written on every draw; padding the sampler to two
+	// cache lines keeps two workers' samplers off a shared line (see
+	// keccak.Shake).
+	_ [48]byte
 }
 
 // NewSampler seeds SHAKE128 with nonce‖counter (big-endian) and returns a

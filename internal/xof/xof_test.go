@@ -3,8 +3,10 @@ package xof
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ff"
+	"repro/internal/keccak"
 )
 
 func TestNextInRange(t *testing.T) {
@@ -180,5 +182,24 @@ func TestNewSamplerBytesDomainSeparated(t *testing.T) {
 	}
 	if same > 20 {
 		t.Fatalf("distinct byte seeds agree %d/100 times", same)
+	}
+}
+
+// samplers keeps the samplers TestSamplerOwnsCacheLines allocates
+// reachable, so they are heap-allocated as in the keystream workspaces.
+var samplers []*Sampler
+
+// TestSamplerOwnsCacheLines pins the padding of Sampler, whose statistics
+// are written on every draw: every heap-allocated sampler starts on a
+// cache-line boundary, so no two samplers share a line.
+func TestSamplerOwnsCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(Sampler{}); n%keccak.CacheLine != 0 {
+		t.Fatalf("sizeof(Sampler) = %d, not a multiple of %d", n, keccak.CacheLine)
+	}
+	for i := 0; i < 16; i++ {
+		samplers = append(samplers, NewSampler(ff.P17, 1, uint64(i)))
+		if addr := uintptr(unsafe.Pointer(samplers[i])); addr%keccak.CacheLine != 0 {
+			t.Fatalf("Sampler %d at %#x is not cache-line aligned", i, addr)
+		}
 	}
 }
