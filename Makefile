@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-smoke bench-json bench-guard fuzz-smoke metrics-smoke backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke ci clean
+.PHONY: all build vet fmt-check test race bench bench-smoke bench-json bench-guard fuzz-smoke metrics-smoke backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke examples-smoke ci clean
 
 all: build
 
@@ -116,7 +116,14 @@ tls-smoke:
 transcipher-smoke:
 	$(GO) test -run 'TestTranscipherE2E|TestTranscipherDoesNotBlockKeystream' -count=1 -v ./internal/server
 
-ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke bench-smoke
+# Run every example program. Each exits non-zero on a wrong result, and
+# outside the tests the examples are the only users of the packed HHE
+# server's compute-on-ciphertext API, so running them is its guard.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
+ci: vet fmt-check build race backends-smoke cipher-smoke server-smoke tls-smoke transcipher-smoke examples-smoke bench-smoke
 
 clean:
 	$(GO) clean ./...

@@ -239,8 +239,9 @@ func BenchmarkClaimsSpeedup(b *testing.B) {
 }
 
 // BenchmarkHHETranscipher measures the server-side homomorphic PASTA
-// decryption on the reduced instance (protocol of Fig. 1; out of the
-// paper's hardware scope but part of the system).
+// decryption (the packed evaluator the serving tier runs) on the reduced
+// instance (protocol of Fig. 1; out of the paper's hardware scope but
+// part of the system).
 func BenchmarkHHETranscipher(b *testing.B) {
 	par, err := hhe.NewToyParams(2, 1)
 	if err != nil {
@@ -251,7 +252,11 @@ func BenchmarkHHETranscipher(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	server, err := hhe.NewServer(par, client.Context(), client.EvalKeys())
+	keys, err := client.PackedEvalKeys()
+	if err != nil {
+		b.Fatal(err)
+	}
+	server, err := hhe.NewPackedServer(par, client.Context(), keys)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestTLSSmoke(t *testing.T) {
 		pc.SetDeadline(time.Now().Add(5 * time.Second))
 		codec := wire.NewCodec(pc)
 		open := wire.SessionOpen{ID: 1, Variant: 4, Width: 17, Nonce: 1, Key: key}
-		if codec.WriteFrame(wire.TypeSessionOpen, open.Encode()) == nil {
+		if codec.WriteFrame(wire.TypeSessionOpen, open.AppendPayload(nil)) == nil {
 			if _, _, err := codec.ReadFrame(); err == nil {
 				t.Error("plaintext client completed a round trip against the TLS listener")
 			}
@@ -165,7 +165,7 @@ func TestTLSSmoke(t *testing.T) {
 	raw.SetDeadline(time.Now().Add(15 * time.Second))
 	codec := wire.NewCodec(raw)
 	open := wire.SessionOpen{ID: 1, Variant: 4, Width: 17, Nonce: 100, Key: key}
-	if err := codec.WriteFrame(wire.TypeSessionOpen, open.Encode()); err != nil {
+	if err := codec.WriteFrame(wire.TypeSessionOpen, open.AppendPayload(nil)); err != nil {
 		t.Fatalf("raw open: %v", err)
 	}
 	typ, payload, err := codec.ReadFrame()

@@ -36,7 +36,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	server, err := hhe.NewServer(params, client.Context(), client.EvalKeys())
+	keys, err := client.PackedEvalKeys()
+	if err != nil {
+		log.Fatal(err)
+	}
+	server, err := hhe.NewPackedServer(params, client.Context(), keys)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,25 +55,44 @@ func main() {
 		features, len(symCt), ff.PackedSize(len(symCt), mod.Bits()))
 
 	// --- server: trans-cipher, then evaluate the model homomorphically ----
-	fheCts, err := server.Transcipher(nonce, 0, symCt)
+	// The features arrive packed in one ciphertext, replicated with period
+	// t across the slots. A slot-wise product by the replicated weights,
+	// then the sum of all t rotations, leaves Σ wᵢ·xᵢ in every slot.
+	fheCt, err := server.Transcipher(nonce, 0, symCt)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := client.Context()
-	var score *bfv.Ciphertext
-	for i, w := range weights {
-		term := ctx.MulScalar(fheCts[i], w)
-		if score == nil {
-			score = term
-		} else {
-			score = ctx.Add(score, term)
-		}
+	enc, err := bfv.NewEncoder(ctx)
+	if err != nil {
+		log.Fatal(err)
 	}
-	score = ctx.AddPlain(score, ctx.EncodeScalar(bias))
+	wPt, err := enc.EncodeReplicated(weights)
+	if err != nil {
+		log.Fatal(err)
+	}
+	products := ctx.MulPlain(fheCt, wPt)
+	score := products
+	for k := 1; k < params.Pasta.T; k++ {
+		rot, err := ctx.RotateColumns(products, k, keys.GKs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		score = ctx.Add(score, rot)
+	}
+	biasPt, err := enc.EncodeReplicated(ff.Vec{bias}) // b in every slot
+	if err != nil {
+		log.Fatal(err)
+	}
+	score = ctx.AddPlain(score, biasPt)
 	fmt.Println("[server] evaluated Σ wᵢ·xᵢ + b on encrypted features")
 
 	// --- client decrypts only the score ------------------------------------
-	got := client.DecryptResult([]*bfv.Ciphertext{score})[0]
+	scores, err := client.DecryptPacked(score, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	got := scores[0]
 	want := bias
 	for i := range weights {
 		want = mod.Add(want, mod.Mul(weights[i], features[i]))

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 	"net"
@@ -98,44 +97,17 @@ func runClient(addr string, params hhe.Params) error {
 		return err
 	}
 	ctx := client.Context()
-	keys := client.EvalKeys()
 
 	// --- one-time setup traffic ---------------------------------------------
-	setupBytes := 0
-	pkBlob, err := keys.PK.MarshalBinary(ctx)
+	keysBlob, err := client.EvalKeysBlob()
 	if err != nil {
 		return err
 	}
-	n, err := p.send(pkBlob)
+	setupBytes, err := p.send(keysBlob)
 	if err != nil {
 		return err
 	}
-	setupBytes += n
-	rlkBlob, err := keys.RLK.MarshalBinary(ctx)
-	if err != nil {
-		return err
-	}
-	if n, err = p.send(rlkBlob); err != nil {
-		return err
-	}
-	setupBytes += n
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(keys.Key)))
-	if n, err = p.send(cnt[:]); err != nil {
-		return err
-	}
-	setupBytes += n
-	for _, ct := range keys.Key {
-		blob, err := ct.MarshalBinary(ctx)
-		if err != nil {
-			return err
-		}
-		if n, err = p.send(blob); err != nil {
-			return err
-		}
-		setupBytes += n
-	}
-	fmt.Printf("[client] one-time setup sent: %d bytes (FHE pk + rlk + Enc(K))\n", setupBytes)
+	fmt.Printf("[client] one-time setup sent: %d bytes (FHE pk + rlk + Galois keys + Enc(K))\n", setupBytes)
 
 	// --- steady-state data traffic -------------------------------------------
 	messages := []ff.Vec{{1111, 2222}, {3333, 4444}, {55, 65000}}
@@ -149,7 +121,8 @@ func runClient(addr string, params hhe.Params) error {
 		if err != nil {
 			return err
 		}
-		if n, err = p.send(packed); err != nil {
+		n, err := p.send(packed)
+		if err != nil {
 			return err
 		}
 		dataBytes += n
@@ -167,11 +140,19 @@ func runClient(addr string, params hhe.Params) error {
 	if err != nil {
 		return err
 	}
-	sum := client.DecryptResult([]*bfv.Ciphertext{resCt})
+	sum, err := client.DecryptPacked(resCt, params.Pasta.T)
+	if err != nil {
+		return err
+	}
 	mod := params.Pasta.Mod
-	want := mod.Add(mod.Add(messages[0][0], messages[1][0]), messages[2][0])
-	fmt.Printf("[client] decrypted homomorphic sum of first elements: %d (want %d)\n", sum[0], want)
-	if sum[0] != want {
+	want := ff.NewVec(params.Pasta.T)
+	for _, msg := range messages {
+		for i, v := range msg {
+			want[i] = mod.Add(want[i], v)
+		}
+	}
+	fmt.Printf("[client] decrypted homomorphic sum of the blocks: %v (want %v)\n", sum, want)
+	if !sum.Equal(want) {
 		return fmt.Errorf("wrong result")
 	}
 	fmt.Println("[client] protocol complete ✓")
@@ -186,49 +167,16 @@ func runServer(ln net.Listener, params hhe.Params) error {
 	defer conn.Close()
 	p := newPeer(conn)
 
-	ctx, err := bfv.NewContext(params.BFV)
-	if err != nil {
-		return err
-	}
 	// --- receive setup ---------------------------------------------------------
-	pkBlob, err := p.recv()
+	keysBlob, err := p.recv()
 	if err != nil {
 		return err
 	}
-	pk, err := ctx.UnmarshalPublicKey(pkBlob)
+	bp, ctx, keys, err := hhe.UnmarshalPackedEvalKeys(keysBlob)
 	if err != nil {
 		return err
 	}
-	rlkBlob, err := p.recv()
-	if err != nil {
-		return err
-	}
-	rlk, err := ctx.UnmarshalRelinKey(rlkBlob)
-	if err != nil {
-		return err
-	}
-	cntBuf, err := p.recv()
-	if err != nil {
-		return err
-	}
-	if len(cntBuf) != 4 {
-		return fmt.Errorf("key-count frame: %d bytes, want 4", len(cntBuf))
-	}
-	nKeys := binary.LittleEndian.Uint32(cntBuf)
-	if nKeys > uint32(2*params.Pasta.T) {
-		return fmt.Errorf("implausible encrypted-key count %d", nKeys)
-	}
-	encKey := make(hhe.EncryptedKey, nKeys)
-	for i := range encKey {
-		blob, err := p.recv()
-		if err != nil {
-			return err
-		}
-		if encKey[i], err = ctx.UnmarshalCiphertext(blob); err != nil {
-			return err
-		}
-	}
-	server, err := hhe.NewServer(params, ctx, hhe.EvalKeys{PK: pk, RLK: rlk, Key: encKey})
+	server, err := hhe.NewPackedServer(hhe.Params{Pasta: params.Pasta, BFV: bp}, ctx, keys)
 	if err != nil {
 		return err
 	}
@@ -245,17 +193,17 @@ func runServer(ln net.Listener, params hhe.Params) error {
 		if err != nil {
 			return err
 		}
-		fheCts, err := server.Transcipher(1, uint64(blk), symCt)
+		fheCt, err := server.Transcipher(1, uint64(blk), symCt)
 		if err != nil {
 			return err
 		}
 		if acc == nil {
-			acc = fheCts[0]
+			acc = fheCt
 		} else {
-			acc = ctx.Add(acc, fheCts[0])
+			acc = ctx.Add(acc, fheCt)
 		}
 	}
-	fmt.Println("[server] trans-ciphered 3 blocks and summed their first elements under encryption")
+	fmt.Println("[server] trans-ciphered 3 blocks and summed them under encryption")
 
 	blob, err := acc.MarshalBinary(ctx)
 	if err != nil {

@@ -3,10 +3,10 @@
 // cryptoprocessor model (internal/hw), and the RISC-V SoC co-simulation
 // (internal/soc) — behind one context-aware interface.
 //
-// Before this layer each consumer (internal/core, internal/hhe,
-// internal/eval, the four CLIs) talked to a substrate directly, each with
-// its own calling convention, error shape, and counters. A backend is
-// opened by name through the registry:
+// Before this layer each consumer (internal/hhe, internal/eval, the
+// four CLIs) talked to a substrate directly, each with its own calling
+// convention, error shape, and counters. A backend is opened by name
+// through the registry:
 //
 //	b, err := backend.Open(backend.NameAccel, backend.Config{
 //		CipherParams: cipher.Params{Variant: 4},

@@ -124,3 +124,48 @@ func TestCrossBackendDifferential(t *testing.T) {
 		})
 	}
 }
+
+// TestAccelCyclesPerBlock pins the accel backend's cycle accounting on
+// the paper's headline configuration (PASTA-4, ω = 17): a 70-element
+// message is three blocks (the last partial), the ciphertext is
+// bit-identical to software, and the Stats() delta reports the modelled
+// ≈1,600 cycles per block.
+func TestAccelCyclesPerBlock(t *testing.T) {
+	cfg := Config{Cipher: "pasta", CipherParams: cipher.Params{Variant: 4, Width: 17}, KeySeed: "cycles"}
+	sw, err := Open(NameSoftware, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	acc, err := Open(NameAccel, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acc.Close()
+
+	ctx := context.Background()
+	msg := ff.NewVec(70)
+	for i := range msg {
+		msg[i] = uint64(i * 13)
+	}
+	want, err := sw.Encrypt(ctx, 4, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := acc.Stats()
+	got, err := acc.Encrypt(ctx, 4, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := acc.Stats()
+	if !got.Equal(want) {
+		t.Fatal("accel ciphertext differs from software")
+	}
+	blocks := after.Blocks - before.Blocks
+	if blocks != 3 {
+		t.Fatalf("blocks = %d, want 3", blocks)
+	}
+	if perBlock := (after.AccelCycles - before.AccelCycles) / blocks; perBlock < 1400 || perBlock > 1900 {
+		t.Fatalf("cycles/block = %d, want ≈1,600", perBlock)
+	}
+}

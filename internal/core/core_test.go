@@ -1,32 +1,48 @@
+// Package core holds system-level checks of the paper's headline
+// configuration (PASTA-4, ω = 17): one key shared by the software,
+// accel and SoC backends, plus the area and energy models for the same
+// instance, driven the way a downstream user drives them — through
+// backend.Open and internal/hw/area. The package has no non-test code.
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/cipher"
 	"repro/internal/ff"
+	"repro/internal/hw/area"
 	"repro/internal/pasta"
 )
 
-func newSystem(t *testing.T) *System {
+// headline is the PASTA-4, ω = 17 configuration with a fixed key.
+var headline = backend.Config{
+	Cipher:       "pasta",
+	CipherParams: cipher.Params{Variant: 4, Width: 17},
+	KeySeed:      "core",
+}
+
+func open(t *testing.T, name string, cfg backend.Config) backend.BlockCipher {
 	t.Helper()
-	par := pasta.MustParams(pasta.Pasta4, ff.P17)
-	s, err := NewSystem(DefaultConfig, pasta.KeyFromSeed(par, "core"))
+	b, err := backend.Open(name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	t.Cleanup(func() { b.Close() })
+	return b
 }
 
 func TestSoftwareRoundTrip(t *testing.T) {
-	s := newSystem(t)
+	sw := open(t, backend.NameSoftware, headline)
+	ctx := context.Background()
 	msg := ff.Vec{1, 2, 3, 4, 5}
-	ct, err := s.Encrypt(10, msg)
+	ct, err := sw.Encrypt(ctx, 10, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := s.Decrypt(10, ct)
+	back, err := sw.Decrypt(ctx, 10, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,128 +51,98 @@ func TestSoftwareRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAcceleratedMatchesSoftware(t *testing.T) {
-	s := newSystem(t)
-	msg := ff.NewVec(70) // 3 blocks, last partial
-	for i := range msg {
-		msg[i] = uint64(i * 13)
-	}
-	want, err := s.Encrypt(4, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, rep, err := s.EncryptAccelerated(4, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("accelerated ciphertext differs from software")
-	}
-	if rep.Blocks != 3 {
-		t.Fatalf("blocks = %d, want 3", rep.Blocks)
-	}
-	if rep.CyclesPerBlock < 1400 || rep.CyclesPerBlock > 1900 {
-		t.Fatalf("cycles/block = %d, want ≈1,600", rep.CyclesPerBlock)
-	}
-	if rep.ASICMicros >= rep.FPGAMicros {
-		t.Fatal("ASIC slower than FPGA?")
-	}
-}
-
 func TestSoCPathMatches(t *testing.T) {
-	s := newSystem(t)
+	sw := open(t, backend.NameSoftware, headline)
+	sc := open(t, backend.NameSoC, headline)
+	ctx := context.Background()
 	msg := ff.NewVec(32)
 	for i := range msg {
 		msg[i] = uint64(i)
 	}
-	want, err := s.Encrypt(9, msg)
+	want, err := sw.Encrypt(ctx, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := s.EncryptOnSoC(9, msg)
+	before := sc.Stats()
+	got, err := sc.Encrypt(ctx, 9, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := sc.Stats()
 	if !got.Equal(want) {
 		t.Fatal("SoC ciphertext differs")
 	}
-	if stats.Blocks != 1 {
-		t.Fatalf("blocks = %d", stats.Blocks)
+	if blocks := after.Blocks - before.Blocks; blocks != 1 {
+		t.Fatalf("blocks = %d", blocks)
 	}
 }
 
 func TestAreaReport(t *testing.T) {
-	s := newSystem(t)
-	a, err := s.Area()
+	par := pasta.MustParams(pasta.Pasta4, ff.P17)
+	cfg := area.Config{T: par.T, W: par.Mod.Bits()}
+	if dsp := area.Resources(cfg).DSP; dsp != 64 {
+		t.Errorf("DSP = %d, want 64 (Table I)", dsp)
+	}
+	a28, err := area.ASICmm2(cfg, area.Node28nm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.FPGA.DSP != 64 {
-		t.Errorf("DSP = %d, want 64 (Table I)", a.FPGA.DSP)
+	a7, err := area.ASICmm2(cfg, area.Node7nm)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.ASIC28mm2 < 0.2 || a.ASIC28mm2 > 0.3 {
-		t.Errorf("28nm area = %.3f, want ≈0.24", a.ASIC28mm2)
+	if a28 < 0.2 || a28 > 0.3 {
+		t.Errorf("28nm area = %.3f, want ≈0.24", a28)
 	}
-	if a.ASIC7mm2 >= a.ASIC28mm2 {
+	if a7 >= a28 {
 		t.Error("7nm not smaller than 28nm")
 	}
 }
 
 func TestNewSystemValidation(t *testing.T) {
-	if _, err := NewSystem(Config{Variant: pasta.Pasta4, Width: 19}, nil); err == nil {
+	bad := headline
+	bad.CipherParams.Width = 19
+	if _, err := backend.Open(backend.NameSoftware, bad); err == nil {
 		t.Fatal("bad width accepted")
 	}
-	if _, err := NewSystem(Config{Variant: pasta.Toy, Width: 17}, nil); err == nil {
-		t.Fatal("toy variant accepted by NewSystem")
+	bad = headline
+	bad.CipherParams.Variant = 2
+	if _, err := backend.Open(backend.NameSoftware, bad); err == nil {
+		t.Fatal("unknown PASTA variant accepted")
 	}
-	// nil key samples a fresh one.
-	s, err := NewSystem(DefaultConfig, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Encrypt(1, ff.Vec{1}); err != nil {
+	// No key and no seed samples a fresh one.
+	fresh := headline
+	fresh.KeySeed = ""
+	sw := open(t, backend.NameSoftware, fresh)
+	if _, err := sw.Encrypt(context.Background(), 1, ff.Vec{1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestBackendAccessorAndStats(t *testing.T) {
-	s := newSystem(t)
-	defer s.Close()
-	sw, err := s.Backend(backend.NameSoftware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := s.Backend(backend.NameSoftware)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sw != again {
-		t.Fatal("Backend did not cache the opened instance")
-	}
-	if _, err := s.Backend("no-such-substrate"); !errors.Is(err, backend.ErrUnknownBackend) {
+	if _, err := backend.Open("no-such-substrate", headline); !errors.Is(err, backend.ErrUnknownBackend) {
 		t.Fatalf("want ErrUnknownBackend, got %v", err)
 	}
-	if _, _, err := s.EncryptAccelerated(3, ff.NewVec(5)); err != nil {
+	sw := open(t, backend.NameSoftware, headline)
+	acc := open(t, backend.NameAccel, headline)
+	if _, err := acc.Encrypt(context.Background(), 3, ff.NewVec(5)); err != nil {
 		t.Fatal(err)
 	}
-	stats := s.Stats()
-	if len(stats) != 2 { // software (eager) + accel
-		t.Fatalf("stats for %d backends, want 2", len(stats))
+	if st := sw.Stats(); st.Backend != backend.NameSoftware || st.Blocks != 0 {
+		t.Fatalf("software stats charged for accel work: %+v", st)
 	}
-	var accel backend.Stats
-	for _, st := range stats {
-		if st.Backend == backend.NameAccel {
-			accel = st
-		}
+	st := acc.Stats()
+	if st.Backend != backend.NameAccel {
+		t.Fatalf("accel stats name = %q", st.Backend)
 	}
-	if accel.Blocks != 1 || accel.AccelCycles == 0 {
-		t.Fatalf("accel stats not accounted: %+v", accel)
+	if st.Blocks != 1 || st.AccelCycles == 0 {
+		t.Fatalf("accel stats not accounted: %+v", st)
 	}
 }
 
 func TestEnergyReport(t *testing.T) {
-	s := newSystem(t)
-	rows, err := s.EnergyReport(1591)
+	par := pasta.MustParams(pasta.Pasta4, ff.P17)
+	rows, err := area.Energies(1591, par.T)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +152,7 @@ func TestEnergyReport(t *testing.T) {
 	if rows[0].BlockUJ <= 0 {
 		t.Fatal("nonpositive energy")
 	}
-	if _, err := s.EnergyReport(0); err != nil {
+	if _, err := area.Energies(0, par.T); err != nil {
 		t.Fatal(err) // zero cycles is fine (zero energy), only elements must be positive
 	}
 }

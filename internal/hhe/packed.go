@@ -9,7 +9,8 @@ import (
 )
 
 // Packed evaluation: instead of one BFV ciphertext per PASTA state
-// element (the scalar path in hhe.go), each t-element state half lives in
+// element (the scalar evaluator, kept as this package's test oracle in
+// scalar_test.go), each t-element state half lives in
 // the slots of a single batched ciphertext, replicated with period t so
 // slot rotations act modulo t. The affine layer becomes the classic
 // diagonal method — t slot-wise plaintext products over t rotations — and

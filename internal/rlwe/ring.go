@@ -45,11 +45,6 @@ type Ring struct {
 	nInvShoup   uint64
 	twoQ        uint64
 
-	// brt[i] = bit-reversal of i over log2(N) bits, computed once at ring
-	// construction and shared by the twiddle layout and external users
-	// (see BitRevTable).
-	brt []int
-
 	// pool recycles NTT-domain scratch polynomials for MulPolyInto so the
 	// steady-state 3-NTT multiply allocates nothing.
 	pool sync.Pool
@@ -73,9 +68,10 @@ func NewRing(n int, q uint64) (*Ring, error) {
 	}
 	r := &Ring{N: n, Q: q, mod: mod, twoQ: 2 * q}
 	logN := bits.Len(uint(n)) - 1
-	r.brt = make([]int, n)
+	// brt[i] = bit-reversal of i over log2(N) bits.
+	brt := make([]int, n)
 	for i := 1; i < n; i++ {
-		r.brt[i] = r.brt[i>>1]>>1 | (i&1)<<(logN-1)
+		brt[i] = brt[i>>1]>>1 | (i&1)<<(logN-1)
 	}
 	// Successive powers psi^j (N multiplies total, instead of N Exp calls
 	// of ~log q multiplies each), scattered through the bit-reversal table.
@@ -91,7 +87,7 @@ func NewRing(n int, q uint64) (*Ring, error) {
 	r.psiShoup = make([]uint64, n)
 	r.psiInvShoup = make([]uint64, n)
 	for i := 0; i < n; i++ {
-		j := r.brt[i]
+		j := brt[i]
 		r.psiPow[i] = pow[j]
 		r.psiInvPow[i] = powInv[j]
 		r.psiShoup[i] = mod.ShoupPrecomp(pow[j])
@@ -104,10 +100,6 @@ func NewRing(n int, q uint64) (*Ring, error) {
 
 // Mod returns the coefficient modulus wrapper.
 func (r *Ring) Mod() ff.Modulus { return r.mod }
-
-// BitRevTable returns the precomputed bit-reversal permutation: entry i is
-// the log2(N)-bit reversal of i. Callers must not modify it.
-func (r *Ring) BitRevTable() []int { return r.brt }
 
 // maxRootCandidates bounds the generator scan of primitiveRoot2N. Half of
 // all field elements are quadratic non-residues, so a valid candidate

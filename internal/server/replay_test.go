@@ -44,7 +44,7 @@ func TestReplayCapturedFrame(t *testing.T) {
 	key := testKey(8, 21, ff.P17.P())
 	open := toyOpen(4, key, 77)
 	open.ID = 1
-	if err := codec.WriteFrame(wire.TypeSessionOpen, open.Encode()); err != nil {
+	if err := codec.WriteFrame(wire.TypeSessionOpen, open.AppendPayload(nil)); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	typ, payload, err := codec.ReadFrame()

@@ -12,7 +12,8 @@ import (
 // packs the element vector directly into the frame with
 // ff.AppendPackBits, so encoding a request or reply performs zero
 // allocations and zero intermediate copies. The resulting bytes are
-// identical to WriteFrame(t, m.Encode()) with m.Packed = PackVec(v).
+// identical to WriteFrame(t, m.AppendPayload(nil)) with m.Packed =
+// PackVec(v).
 
 // Message is any wire message that can append its payload encoding.
 type Message interface{ AppendPayload([]byte) []byte }

@@ -37,31 +37,32 @@ func FuzzWireDecode(f *testing.F) {
 	// and a resume-token open.
 	for _, cn := range cipher.Names() {
 		seed(TypeSessionOpen, (&SessionOpen{ID: 1, Scheme: cn, Variant: 3, Width: 17,
-			Nonce: 4, Key: []uint64{9, 9}, EvalKey: []byte{1, 2, 3}}).Encode())
+			Nonce: 4, Key: []uint64{9, 9}, EvalKey: []byte{1, 2, 3}}).AppendPayload(nil))
 	}
-	seed(TypeSessionOpen, (&SessionOpen{ID: 1, Scheme: "rasta", Nonce: 4, Key: []uint64{9}}).Encode())
+	seed(TypeSessionOpen, (&SessionOpen{ID: 1, Scheme: "rasta", Nonce: 4, Key: []uint64{9}}).AppendPayload(nil))
 	seed(TypeSessionOpen, (&SessionOpen{ID: 1, Scheme: "pasta", Nonce: 4, Key: []uint64{9},
-		CipherParams: []byte{0xca, 0xfe}}).Encode())
-	seed(TypeSessionOpen, (&SessionOpen{ID: 1, Resume: bytes.Repeat([]byte{7}, 36)}).Encode())
+		CipherParams: []byte{0xca, 0xfe}}).AppendPayload(nil))
+	seed(TypeSessionOpen, (&SessionOpen{ID: 1, Resume: bytes.Repeat([]byte{7}, 36)}).AppendPayload(nil))
 	seed(TypeSessionAck, (&SessionAck{ID: 1, Session: 2, Cipher: "pasta", BlockSize: 32, Modulus: 65537, Bits: 17,
-		Counter: 12, Tail: 96, Resume: []byte{9, 8, 7}}).Encode())
-	seed(TypeSessionClose, (&SessionClose{Session: 2}).Encode())
-	seed(TypeEncrypt, (&EncryptReq{Session: 2, ID: 3, Counter: 1, Nonce: 1, Count: 1, Bits: 8, Packed: []byte{0x2a}}).Encode())
-	seed(TypeKeystream, (&KeystreamReq{Session: 2, ID: 4, Counter: 2, Nonce: 1, First: 7, Count: 2}).Encode())
-	seed(TypeStream, (&StreamReq{Session: 2, ID: 5, Counter: 3, Count: 1, Bits: 8, Packed: []byte{0x2a}}).Encode())
-	seed(TypeData, (&Data{Session: 2, ID: 5, Offset: 32, Count: 1, Bits: 8, Packed: []byte{0x2a}}).Encode())
-	seed(TypeError, (&ErrorMsg{Session: 2, ID: 6, Code: CodeOverloaded, RetryAfterMillis: 9, Msg: "m"}).Encode())
+		Counter: 12, Tail: 96, Resume: []byte{9, 8, 7}}).AppendPayload(nil))
+	seed(TypeSessionClose, (&SessionClose{Session: 2}).AppendPayload(nil))
+	seed(TypeEncrypt, (&EncryptReq{Session: 2, ID: 3, Counter: 1, Nonce: 1, Count: 1, Bits: 8, Packed: []byte{0x2a}}).AppendPayload(nil))
+	seed(TypeKeystream, (&KeystreamReq{Session: 2, ID: 4, Counter: 2, Nonce: 1, First: 7, Count: 2}).AppendPayload(nil))
+	seed(TypeStream, (&StreamReq{Session: 2, ID: 5, Counter: 3, Count: 1, Bits: 8, Packed: []byte{0x2a}}).AppendPayload(nil))
+	seed(TypeData, (&Data{Session: 2, ID: 5, Offset: 32, Count: 1, Bits: 8, Packed: []byte{0x2a}}).AppendPayload(nil))
+	seed(TypeData, (&Data{Session: 2, ID: 6, Offset: 33, Bits: 8}).AppendPayload(nil))
+	seed(TypeError, (&ErrorMsg{Session: 2, ID: 6, Code: CodeOverloaded, RetryAfterMillis: 9, Msg: "m"}).AppendPayload(nil))
 	seed(TypeBlob, []byte("opaque"))
 	// Wire v4: the transciphering tier. Seed a mid-upload chunk, the
 	// zero-length progress-probe chunk, both ack shapes, and a
 	// transcipher request.
 	seed(TypeEvalKeys, (&EvalKeysChunk{Session: 2, ID: 7, Counter: 4, Offset: 16, Total: 32,
-		Chunk: bytes.Repeat([]byte{0xee}, 8)}).Encode())
-	seed(TypeEvalKeys, (&EvalKeysChunk{Session: 2, ID: 8, Counter: 5, Offset: 32, Total: 32}).Encode())
-	seed(TypeEvalKeysAck, (&EvalKeysAck{Session: 2, ID: 7, Received: 24, Total: 32}).Encode())
-	seed(TypeEvalKeysAck, (&EvalKeysAck{Session: 2, ID: 8, Received: 32, Total: 32, Complete: true}).Encode())
+		Chunk: bytes.Repeat([]byte{0xee}, 8)}).AppendPayload(nil))
+	seed(TypeEvalKeys, (&EvalKeysChunk{Session: 2, ID: 8, Counter: 5, Offset: 32, Total: 32}).AppendPayload(nil))
+	seed(TypeEvalKeysAck, (&EvalKeysAck{Session: 2, ID: 7, Received: 24, Total: 32}).AppendPayload(nil))
+	seed(TypeEvalKeysAck, (&EvalKeysAck{Session: 2, ID: 8, Received: 32, Total: 32, Complete: true}).AppendPayload(nil))
 	seed(TypeTranscipher, (&TranscipherReq{Session: 2, ID: 9, Counter: 6, Nonce: 1, First: 3,
-		Count: 4, Bits: 17, Packed: bytes.Repeat([]byte{0x11}, ff.PackedSize(4, 17))}).Encode())
+		Count: 4, Bits: 17, Packed: bytes.Repeat([]byte{0x11}, ff.PackedSize(4, 17))}).AppendPayload(nil))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize+4))
 
@@ -95,8 +96,8 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			// Whatever decoded must re-encode and decode to the same
 			// message — the codec cannot silently normalize.
-			if enc, ok := msg.(interface{ Encode() []byte }); ok {
-				if _, err := DecodeAny(typ, enc.Encode()); err != nil {
+			if enc, ok := msg.(Message); ok {
+				if _, err := DecodeAny(typ, enc.AppendPayload(nil)); err != nil {
 					t.Fatalf("re-decode of valid %v failed: %v", typ, err)
 				}
 			}
@@ -104,45 +105,61 @@ func FuzzWireDecode(f *testing.F) {
 	})
 }
 
-// fuzzDecodeInto holds the DecodeInto variants to the allocating
-// decoders: same accept/reject decision, same decoded message, and the
-// same no-panic guarantee on arbitrary payloads.
+// fuzzDecodeInto holds the in-place decoders to the DecodeAny result
+// when the destination is reused, as the server reuses one message per
+// connection: decoding into a message whose every field is already set
+// must give the same accept/reject decision and the same message, so
+// no field of an earlier frame survives into the next.
 func fuzzDecodeInto(t *testing.T, typ Type, payload []byte, msg any, decErr error) {
 	t.Helper()
 	var got any
 	var err error
 	switch typ {
 	case TypeEncrypt:
-		m := &EncryptReq{}
+		m := dirty(&EncryptReq{})
 		err = DecodeEncryptReqInto(m, payload)
 		got = m
 	case TypeKeystream:
-		m := &KeystreamReq{}
+		m := dirty(&KeystreamReq{})
 		err = DecodeKeystreamReqInto(m, payload)
 		got = m
 	case TypeStream:
-		m := &StreamReq{}
+		m := dirty(&StreamReq{})
 		err = DecodeStreamReqInto(m, payload)
 		got = m
 	case TypeData:
-		m := &Data{}
+		m := dirty(&Data{})
 		err = DecodeDataInto(m, payload)
 		got = m
 	case TypeEvalKeys:
-		m := &EvalKeysChunk{}
+		m := dirty(&EvalKeysChunk{})
 		err = DecodeEvalKeysChunkInto(m, payload)
 		got = m
 	case TypeTranscipher:
-		m := &TranscipherReq{}
+		m := dirty(&TranscipherReq{})
 		err = DecodeTranscipherReqInto(m, payload)
 		got = m
 	default:
 		return
 	}
 	if (err == nil) != (decErr == nil) {
-		t.Fatalf("%v: DecodeInto err %v but allocating decode err %v", typ, err, decErr)
+		t.Fatalf("%v: reused DecodeInto err %v but fresh decode err %v", typ, err, decErr)
 	}
 	if err == nil && !reflect.DeepEqual(got, msg) {
-		t.Fatalf("%v: DecodeInto diverges\n got %#v\nwant %#v", typ, got, msg)
+		t.Fatalf("%v: reused DecodeInto diverges\n got %#v\nwant %#v", typ, got, msg)
 	}
+}
+
+// dirty sets every field of the message m points to to a non-zero value.
+func dirty[M any](m *M) *M {
+	v := reflect.ValueOf(m).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(^uint64(0) >> (64 - f.Type().Bits()))
+		case reflect.Slice:
+			f.Set(reflect.MakeSlice(f.Type(), 3, 3))
+		}
+	}
+	return m
 }

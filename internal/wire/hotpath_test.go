@@ -7,8 +7,8 @@ import (
 	"repro/internal/ff"
 )
 
-// frameBytes is the reference encoding: WriteFrame over an allocating
-// Encode. Every append-style encoder must produce identical bytes.
+// frameBytes is the reference encoding: WriteFrame over a separately
+// built payload. Every append-style encoder must produce identical bytes.
 func frameBytes(t *testing.T, typ Type, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -52,7 +52,8 @@ func TestAppendMessageFrameMatchesWriteFrame(t *testing.T) {
 }
 
 // TestAppendVecFramesMatchEncode pins the specialized inline-packing
-// frame builders to the allocating PackVec + Encode + WriteFrame path.
+// frame builders to the allocating PackVec + AppendPayload + WriteFrame
+// path.
 func TestAppendVecFramesMatchEncode(t *testing.T) {
 	v := ff.Vec{11, 22, 33, 44, 55}
 	count, packed, err := PackVec(v, 17)
@@ -66,13 +67,13 @@ func TestAppendVecFramesMatchEncode(t *testing.T) {
 		got  func() ([]byte, error)
 	}{
 		{"encrypt", frameBytes(t, TypeEncrypt,
-			(&EncryptReq{Session: 3, ID: 8, Counter: 2, Nonce: 5, Count: count, Bits: 17, Packed: packed}).Encode()),
+			(&EncryptReq{Session: 3, ID: 8, Counter: 2, Nonce: 5, Count: count, Bits: 17, Packed: packed}).AppendPayload(nil)),
 			func() ([]byte, error) { return AppendEncryptFrame(nil, 3, 8, 2, 5, v, 17) }},
 		{"stream", frameBytes(t, TypeStream,
-			(&StreamReq{Session: 3, ID: 9, Counter: 4, Count: count, Bits: 17, Packed: packed}).Encode()),
+			(&StreamReq{Session: 3, ID: 9, Counter: 4, Count: count, Bits: 17, Packed: packed}).AppendPayload(nil)),
 			func() ([]byte, error) { return AppendStreamFrame(nil, 3, 9, 4, v, 17) }},
 		{"data", frameBytes(t, TypeData,
-			(&Data{Session: 3, ID: 10, Offset: 77, Count: count, Bits: 17, Packed: packed}).Encode()),
+			(&Data{Session: 3, ID: 10, Offset: 77, Count: count, Bits: 17, Packed: packed}).AppendPayload(nil)),
 			func() ([]byte, error) { return AppendDataFrame(nil, 3, 10, 77, v, 17) }},
 	}
 	for _, tc := range cases {

@@ -493,9 +493,6 @@ func (d *decoder) checkPacked(count uint32, bits uint8, packed []byte) {
 
 // --- message encode/decode ----------------------------------------------
 
-// Encode serializes the message payload (frame with TypeSessionOpen).
-func (m *SessionOpen) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *SessionOpen) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -534,9 +531,6 @@ func DecodeSessionOpen(payload []byte) (*SessionOpen, error) {
 	return m, nil
 }
 
-// Encode serializes the message payload (frame with TypeSessionAck).
-func (m *SessionAck) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *SessionAck) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -571,9 +565,6 @@ func DecodeSessionAck(payload []byte) (*SessionAck, error) {
 	return m, nil
 }
 
-// Encode serializes the message payload (frame with TypeSessionClose).
-func (m *SessionClose) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *SessionClose) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -592,9 +583,6 @@ func DecodeSessionClose(payload []byte) (*SessionClose, error) {
 	return m, nil
 }
 
-// Encode serializes the message payload (frame with TypeEncrypt).
-func (m *EncryptReq) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *EncryptReq) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -606,15 +594,6 @@ func (m *EncryptReq) AppendPayload(dst []byte) []byte {
 	e.u8(m.Bits)
 	e.bytes(m.Packed)
 	return e.buf
-}
-
-// DecodeEncryptReq parses a TypeEncrypt payload.
-func DecodeEncryptReq(payload []byte) (*EncryptReq, error) {
-	m := &EncryptReq{}
-	if err := DecodeEncryptReqInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeEncryptReqInto parses a TypeEncrypt payload into m without
@@ -633,9 +612,6 @@ func DecodeEncryptReqInto(m *EncryptReq, payload []byte) error {
 	return d.finish()
 }
 
-// Encode serializes the message payload (frame with TypeKeystream).
-func (m *KeystreamReq) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *KeystreamReq) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -646,15 +622,6 @@ func (m *KeystreamReq) AppendPayload(dst []byte) []byte {
 	e.u64(m.First)
 	e.u32(m.Count)
 	return e.buf
-}
-
-// DecodeKeystreamReq parses a TypeKeystream payload.
-func DecodeKeystreamReq(payload []byte) (*KeystreamReq, error) {
-	m := &KeystreamReq{}
-	if err := DecodeKeystreamReqInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeKeystreamReqInto parses a TypeKeystream payload into m without
@@ -673,9 +640,6 @@ func DecodeKeystreamReqInto(m *KeystreamReq, payload []byte) error {
 	return d.finish()
 }
 
-// Encode serializes the message payload (frame with TypeStream).
-func (m *StreamReq) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *StreamReq) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -686,15 +650,6 @@ func (m *StreamReq) AppendPayload(dst []byte) []byte {
 	e.u8(m.Bits)
 	e.bytes(m.Packed)
 	return e.buf
-}
-
-// DecodeStreamReq parses a TypeStream payload.
-func DecodeStreamReq(payload []byte) (*StreamReq, error) {
-	m := &StreamReq{}
-	if err := DecodeStreamReqInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeStreamReqInto parses a TypeStream payload into m without
@@ -712,9 +667,6 @@ func DecodeStreamReqInto(m *StreamReq, payload []byte) error {
 	return d.finish()
 }
 
-// Encode serializes the message payload (frame with TypeData).
-func (m *Data) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *Data) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -725,15 +677,6 @@ func (m *Data) AppendPayload(dst []byte) []byte {
 	e.u8(m.Bits)
 	e.bytes(m.Packed)
 	return e.buf
-}
-
-// DecodeData parses a TypeData payload.
-func DecodeData(payload []byte) (*Data, error) {
-	m := &Data{}
-	if err := DecodeDataInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeDataInto parses a TypeData payload into m without allocating.
@@ -750,9 +693,6 @@ func DecodeDataInto(m *Data, payload []byte) error {
 	d.checkPacked(m.Count, m.Bits, m.Packed)
 	return d.finish()
 }
-
-// Encode serializes the message payload (frame with TypeError).
-func (m *ErrorMsg) Encode() []byte { return m.AppendPayload(nil) }
 
 // AppendPayload appends the message payload to dst.
 func (m *ErrorMsg) AppendPayload(dst []byte) []byte {
@@ -784,9 +724,6 @@ func DecodeErrorMsg(payload []byte) (*ErrorMsg, error) {
 	return m, nil
 }
 
-// Encode serializes the message payload (frame with TypeEvalKeys).
-func (m *EvalKeysChunk) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *EvalKeysChunk) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -797,15 +734,6 @@ func (m *EvalKeysChunk) AppendPayload(dst []byte) []byte {
 	e.u64(m.Total)
 	e.bytes(m.Chunk)
 	return e.buf
-}
-
-// DecodeEvalKeysChunk parses a TypeEvalKeys payload.
-func DecodeEvalKeysChunk(payload []byte) (*EvalKeysChunk, error) {
-	m := &EvalKeysChunk{}
-	if err := DecodeEvalKeysChunkInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeEvalKeysChunkInto parses a TypeEvalKeys payload into m without
@@ -831,9 +759,6 @@ func DecodeEvalKeysChunkInto(m *EvalKeysChunk, payload []byte) error {
 	}
 	return d.finish()
 }
-
-// Encode serializes the message payload (frame with TypeEvalKeysAck).
-func (m *EvalKeysAck) Encode() []byte { return m.AppendPayload(nil) }
 
 // AppendPayload appends the message payload to dst.
 func (m *EvalKeysAck) AppendPayload(dst []byte) []byte {
@@ -871,9 +796,6 @@ func DecodeEvalKeysAck(payload []byte) (*EvalKeysAck, error) {
 	return m, nil
 }
 
-// Encode serializes the message payload (frame with TypeTranscipher).
-func (m *TranscipherReq) Encode() []byte { return m.AppendPayload(nil) }
-
 // AppendPayload appends the message payload to dst.
 func (m *TranscipherReq) AppendPayload(dst []byte) []byte {
 	e := encoder{buf: dst}
@@ -886,15 +808,6 @@ func (m *TranscipherReq) AppendPayload(dst []byte) []byte {
 	e.u8(m.Bits)
 	e.bytes(m.Packed)
 	return e.buf
-}
-
-// DecodeTranscipherReq parses a TypeTranscipher payload.
-func DecodeTranscipherReq(payload []byte) (*TranscipherReq, error) {
-	m := &TranscipherReq{}
-	if err := DecodeTranscipherReqInto(m, payload); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // DecodeTranscipherReqInto parses a TypeTranscipher payload into m
@@ -931,23 +844,33 @@ func DecodeAny(t Type, payload []byte) (any, error) {
 	case TypeSessionClose:
 		return DecodeSessionClose(payload)
 	case TypeEncrypt:
-		return DecodeEncryptReq(payload)
+		return decodeNew(DecodeEncryptReqInto, payload)
 	case TypeKeystream:
-		return DecodeKeystreamReq(payload)
+		return decodeNew(DecodeKeystreamReqInto, payload)
 	case TypeStream:
-		return DecodeStreamReq(payload)
+		return decodeNew(DecodeStreamReqInto, payload)
 	case TypeData:
-		return DecodeData(payload)
+		return decodeNew(DecodeDataInto, payload)
 	case TypeError:
 		return DecodeErrorMsg(payload)
 	case TypeBlob:
 		return payload, nil
 	case TypeEvalKeys:
-		return DecodeEvalKeysChunk(payload)
+		return decodeNew(DecodeEvalKeysChunkInto, payload)
 	case TypeEvalKeysAck:
 		return DecodeEvalKeysAck(payload)
 	case TypeTranscipher:
-		return DecodeTranscipherReq(payload)
+		return decodeNew(DecodeTranscipherReqInto, payload)
 	}
 	return nil, fmt.Errorf("%w: %d", ErrBadType, uint8(t))
+}
+
+// decodeNew runs an in-place decoder on a fresh message. On failure it
+// returns a nil interface, not a typed nil pointer.
+func decodeNew[M any](decode func(*M, []byte) error, payload []byte) (any, error) {
+	m := new(M)
+	if err := decode(m, payload); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

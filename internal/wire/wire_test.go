@@ -113,7 +113,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	key := []uint64{1, 2, 3, 4}
 	msgs := []struct {
 		typ Type
-		msg interface{ Encode() []byte }
+		msg Message
 	}{
 		{TypeSessionOpen, &SessionOpen{ID: 7, Scheme: "pasta", Variant: 4, Width: 17,
 			Rounds: 1, T: 2, Nonce: 99, Key: key, EvalKey: []byte("fhe-blob")}},
@@ -131,7 +131,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 	for _, tc := range msgs {
 		t.Run(tc.typ.String(), func(t *testing.T) {
-			got, err := DecodeAny(tc.typ, tc.msg.Encode())
+			got, err := DecodeAny(tc.typ, tc.msg.AppendPayload(nil))
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -158,10 +158,10 @@ func TestMessageDecodeRejects(t *testing.T) {
 		payload []byte
 	}{
 		{"empty session open", TypeSessionOpen, nil},
-		{"trailing bytes", TypeSessionClose, append((&SessionClose{Session: 1}).Encode(), 0)},
+		{"trailing bytes", TypeSessionClose, append((&SessionClose{Session: 1}).AppendPayload(nil), 0)},
 		{"oversized key claim", TypeSessionOpen, func() []byte {
 			m := &SessionOpen{Scheme: "pasta", Key: []uint64{1}}
-			b := m.Encode()
+			b := m.AppendPayload(nil)
 			// Key vector length prefix sits after ID(8)+scheme(4+5)+3×u8+u16+nonce(8).
 			off := 8 + 4 + len("pasta") + 3 + 2 + 8
 			binary.LittleEndian.PutUint32(b[off:], 1<<31)
@@ -169,13 +169,13 @@ func TestMessageDecodeRejects(t *testing.T) {
 		}()},
 		{"packed length mismatch", TypeEncrypt, func() []byte {
 			m := &EncryptReq{Count: 100, Bits: 17, Packed: []byte{1, 2}}
-			return m.Encode()
+			return m.AppendPayload(nil)
 		}()},
-		{"zero pack width", TypeStream, (&StreamReq{Count: 0, Bits: 0}).Encode()},
+		{"zero pack width", TypeStream, (&StreamReq{Count: 0, Bits: 0}).AppendPayload(nil)},
 		{"oversized keystream count", TypeKeystream,
-			(&KeystreamReq{Count: MaxVecElems + 1}).Encode()},
+			(&KeystreamReq{Count: MaxVecElems + 1}).AppendPayload(nil)},
 		{"oversized error msg claim", TypeError, func() []byte {
-			b := (&ErrorMsg{Code: 1, Msg: "x"}).Encode()
+			b := (&ErrorMsg{Code: 1, Msg: "x"}).AppendPayload(nil)
 			binary.LittleEndian.PutUint32(b[4+8+2+4:], MaxErrorMsg+1)
 			return b
 		}()},
